@@ -305,3 +305,24 @@ fn scheduler_choice_is_orthogonal_to_memory_model() {
         .expect("legacy+reference run");
     assert_eq!(base, cross, "legacy loop × reference model diverged");
 }
+
+#[path = "golden.rs"]
+#[allow(dead_code)]
+mod golden;
+
+#[test]
+fn golden_corpus_is_the_legacy_loops_output() {
+    // Every golden case through both advance loops: the corpus pins
+    // the legacy loop's output, so it can stand in for this suite once
+    // the legacy loop is gone.
+    let corpus = golden::corpus();
+    let cases = golden::cases();
+    assert_eq!(corpus.len(), cases.len());
+    for (case, (name, pinned)) in cases.iter().zip(&corpus) {
+        assert_eq!(&case.name, name);
+        let sched = golden::line(name, &(case.build)().legacy_scheduler(false).run());
+        let legacy = golden::line(name, &(case.build)().legacy_scheduler(true).run());
+        assert_eq!(sched, legacy, "{name}: the two loops diverged");
+        assert_eq!(&legacy, pinned, "{name}: corpus is not the legacy output");
+    }
+}
