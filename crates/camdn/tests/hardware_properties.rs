@@ -7,9 +7,10 @@
 use camdn::cache::{CacheGeometry, Nec, Pcaddr, SharedCache};
 use camdn::common::config::{CacheConfig, DramConfig};
 use camdn::common::types::{PhysAddr, VirtCacheAddr, MIB};
-use camdn::common::{EventQueue, SimRng};
+use camdn::common::SimRng;
 use camdn::dram::DramModel;
 use camdn::npu::CachePageTable;
+use camdn::runtime::Scheduler;
 use std::collections::BTreeMap;
 
 #[test]
@@ -132,7 +133,7 @@ fn event_queue_is_time_ordered() {
         let events: Vec<(u64, u32)> = (0..rng.next_range(1, 199))
             .map(|_| (rng.next_below(1000), rng.next_below(100) as u32))
             .collect();
-        let mut q = EventQueue::new();
+        let mut q = Scheduler::new();
         for &(t, p) in &events {
             q.push(t, p);
         }

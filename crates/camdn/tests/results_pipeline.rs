@@ -1,8 +1,6 @@
-//! Acceptance tests of the split result pipeline: the deprecated
-//! `RunResult` shim must be bit-for-bit assembled from the
-//! `RunSummary` + `RunDetail` pair for every built-in policy across
-//! closed-loop, Poisson, bursty and QoS workloads, and the summary
-//! must be identical at every `DetailLevel`.
+//! Acceptance tests of the split result pipeline: the summary must be
+//! identical at every `DetailLevel`, and the per-task detail must back
+//! the QoS metrics and the inference-weighted SLA rate.
 
 use camdn::models::zoo;
 use camdn::{DetailLevel, PolicyKind, Simulation, SimulationBuilder, Workload};
@@ -25,33 +23,6 @@ fn builder(policy: PolicyKind, workload: &Workload, qos: bool) -> SimulationBuil
         b = b.qos_scale(1.0);
     }
     b
-}
-
-#[test]
-#[allow(deprecated)]
-fn legacy_shim_is_bit_for_bit_across_policies_and_workloads() {
-    // RunOutput::legacy_result must reproduce exactly what the
-    // pre-split aggregate returned: same policy label, same per-task
-    // table, same scalars — across all 5 policies × 4 scenario kinds.
-    for policy in PolicyKind::ALL {
-        for qos in [false, true] {
-            for (name, workload) in scenarios() {
-                let out = builder(policy, &workload, qos).run().expect("run");
-                let legacy = out.legacy_result().expect("default detail keeps tasks");
-                assert_eq!(legacy.policy, out.policy, "{policy:?}/{name}/qos={qos}");
-                assert_eq!(
-                    legacy.tasks,
-                    out.detail.as_ref().unwrap().tasks,
-                    "{policy:?}/{name}/qos={qos}"
-                );
-                assert_eq!(legacy.cache_hit_rate, out.summary.cache_hit_rate);
-                assert_eq!(legacy.avg_latency_ms, out.summary.avg_latency_ms);
-                assert_eq!(legacy.mem_mb_per_model, out.summary.mem_mb_per_model);
-                assert_eq!(legacy.makespan_ms, out.summary.makespan_ms);
-                assert_eq!(legacy.multicast_saved_mb, out.summary.multicast_saved_mb);
-            }
-        }
-    }
 }
 
 #[test]

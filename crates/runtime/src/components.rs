@@ -1,24 +1,18 @@
-//! The engine's concrete scheduler components.
+//! The engine's phase components.
 //!
-//! The run loop in [`crate::engine`] is organized as a set of phase
-//! components over the master event heap ([`crate::sched::Scheduler`]):
-//! fault application, the epoch boundary, queue sampling, and the NPU
-//! clock domain each own their scheduling state here, while the task
-//! state machine itself stays on the `Engine` (it owns the hardware
-//! models). Each component mirrors the [`crate::sched::Component`]
-//! shape — a `next_tick`-style query plus a tick-time action — but is
-//! driven directly by the engine loop rather than boxed into a
-//! [`crate::sched::ComponentSet`], because its tick needs `&mut Engine`
-//! (the generic set covers the heterogeneous-clock/DVFS substrate and
-//! is property-tested standalone; see `docs/ENGINE.md`).
+//! The run loop in [`crate::engine`] pops the master event heap
+//! ([`crate::sched::Scheduler`]) and routes each event through four
+//! phase components: fault application, the epoch boundary, queue
+//! sampling, and the NPU clock domain. Each owns its scheduling state
+//! here; the machine state its tick mutates (the hardware models and
+//! the task state machine) stays on the `Engine`, which is why the
+//! loop drives them directly rather than through a trait object.
 //!
-//! Determinism contract: all components observe the exact event
-//! sequence the legacy monolithic loop produced — same heap, same
-//! insertion order, same FIFO tie-break — so `RunOutput` is bit-for-bit
-//! identical between the two loops (proven by
-//! `crates/camdn/tests/sched_equivalence.rs`).
+//! Determinism contract: the components add no events of their own
+//! beyond what the task state machine and the fault plan push, so the
+//! heap's `(time, insertion order)` contract fixes the whole schedule.
+//! `crates/camdn/tests/golden.rs` pins the resulting outputs.
 
-use crate::fault::FaultPlan;
 use camdn_common::types::Cycle;
 
 /// Scheduling state of the engine's phase components. Owned by the
@@ -66,13 +60,6 @@ pub(crate) struct FaultComponent {
 }
 
 impl FaultComponent {
-    /// `next_tick`: master cycle of the next unapplied fault, `None`
-    /// once the plan is drained (or absent).
-    #[allow(dead_code)] // mirrors the Component shape; the loop drives ticks off the heap
-    pub fn next_tick(&self, plan: Option<&FaultPlan>) -> Option<Cycle> {
-        plan.and_then(|p| p.events().get(self.cursor)).map(|e| e.at)
-    }
-
     /// Advances past the event just applied, returning its index.
     pub fn advance(&mut self) -> usize {
         let idx = self.cursor;
@@ -84,9 +71,8 @@ impl FaultComponent {
 /// The epoch boundary — a *lazy* clock: rather than scheduling its own
 /// heap events, it fires piggybacked on the first task event popped at
 /// or past the boundary, and the next boundary is measured from that
-/// event's cycle (the boundary drifts with activity, exactly like the
-/// monolithic loop's `maybe_rebalance`). An idle stretch therefore
-/// produces no empty epoch ticks.
+/// event's cycle (the boundary drifts with activity). An idle stretch
+/// therefore produces no empty epoch ticks.
 #[derive(Debug, Clone)]
 pub(crate) struct EpochComponent {
     /// Master cycle at or past which the next epoch tick fires.
@@ -139,9 +125,9 @@ impl SamplerComponent {
 /// this clock; compute charges route through
 /// [`compute_master_cycles`](NpuClock::compute_master_cycles), which
 /// divides local compute cycles by the current rate to get master
-/// cycles — the clock-divider relationship of `crate::sched`, held in
-/// rational (f64) form so the full-rate 1.0 stays IEEE-exact and a
-/// fault-free run is untouched bit for bit.
+/// cycles — a clock divider held in rational (f64) form so the
+/// full-rate 1.0 stays IEEE-exact and a fault-free run is untouched
+/// bit for bit.
 #[derive(Debug, Clone)]
 pub(crate) struct NpuClock {
     /// Clock rate relative to the master clock (1.0 = full rate;
@@ -225,7 +211,6 @@ mod tests {
     #[test]
     fn fault_cursor_walks_the_plan() {
         let mut f = FaultComponent { cursor: 0 };
-        assert_eq!(f.next_tick(None), None);
         assert_eq!(f.advance(), 0);
         assert_eq!(f.advance(), 1);
         assert_eq!(f.cursor, 2);
