@@ -622,11 +622,11 @@ pub struct SeedStats {
 #[derive(Debug, Default)]
 struct SeedGroup {
     errors: u64,
-    lat: Welford,
-    mem: Welford,
-    hit: Welford,
-    makespan: Welford,
-    sla: Welford,
+    /// Per-seed `(seed index, [avg_latency_ms, mem_mb_per_model,
+    /// cache_hit_rate, makespan_ms, sla_rate])` in arrival order;
+    /// [`SeedAggregate::stats`] folds them in seed order.
+    runs: Vec<(usize, [f64; 5])>,
+    /// Histogram merge is integer addition, so the tail folds eagerly.
     tail: LatencyTail,
 }
 
@@ -634,12 +634,10 @@ struct SeedGroup {
 /// arrive: two cells belong to the same group when every coordinate
 /// but `seed` matches.
 ///
-/// Aggregation is order-insensitive up to floating-point associativity
-/// of Welford updates over the (deterministic) per-seed summaries; for
-/// exact reproducibility fold a finished [`SweepResult`] with
-/// [`SeedAggregate::of`], which visits cells in row-major order.
-///
-/// [`SweepResult`]: crate::SweepResult
+/// Each group keeps its per-seed scalars (one small array per seed)
+/// and [`stats`](SeedAggregate::stats) runs the Welford updates in
+/// seed order, so the statistics are bit-identical whatever order the
+/// cells arrive in.
 #[derive(Debug, Default)]
 pub struct SeedAggregate {
     groups: BTreeMap<CellCoord, SeedGroup>,
@@ -664,15 +662,21 @@ impl SeedAggregate {
         agg.stats()
     }
 
-    /// Folds one successful cell's summary into its group (scalar
-    /// Welford updates, plus a histogram merge of the latency tail).
+    /// Folds one successful cell's summary into its group (its
+    /// scalars are kept under the cell's seed index, and the latency
+    /// tail is histogram-merged).
     pub fn fold(&mut self, coord: CellCoord, summary: &RunSummary) {
         let g = self.groups.entry(group_key(coord)).or_default();
-        g.lat.record(summary.avg_latency_ms);
-        g.mem.record(summary.mem_mb_per_model);
-        g.hit.record(summary.cache_hit_rate);
-        g.makespan.record(summary.makespan_ms);
-        g.sla.record(summary.sla_rate);
+        g.runs.push((
+            coord.seed,
+            [
+                summary.avg_latency_ms,
+                summary.mem_mb_per_model,
+                summary.cache_hit_rate,
+                summary.makespan_ms,
+                summary.sla_rate,
+            ],
+        ));
         g.tail.merge(&summary.latency_tail);
     }
 
@@ -682,20 +686,32 @@ impl SeedAggregate {
     }
 
     /// The per-group statistics, sorted in row-major coordinate order.
+    /// Within a group the seeds are folded in seed order.
     pub fn stats(&self) -> Vec<SeedStats> {
         let mut out: Vec<SeedStats> = self
             .groups
             .iter()
-            .map(|(coord, g)| SeedStats {
-                coord: *coord,
-                n: g.lat.count(),
-                errors: g.errors,
-                avg_latency_ms: (&g.lat).into(),
-                mem_mb_per_model: (&g.mem).into(),
-                cache_hit_rate: (&g.hit).into(),
-                makespan_ms: (&g.makespan).into(),
-                sla_rate: (&g.sla).into(),
-                latency_tail: g.tail,
+            .map(|(coord, g)| {
+                let mut runs = g.runs.clone();
+                // Stable: repeated folds of one seed keep arrival order.
+                runs.sort_by_key(|&(seed, _)| seed);
+                let mut w: [Welford; 5] = Default::default();
+                for (_, values) in &runs {
+                    for (w, &v) in w.iter_mut().zip(values) {
+                        w.record(v);
+                    }
+                }
+                SeedStats {
+                    coord: *coord,
+                    n: runs.len() as u64,
+                    errors: g.errors,
+                    avg_latency_ms: (&w[0]).into(),
+                    mem_mb_per_model: (&w[1]).into(),
+                    cache_hit_rate: (&w[2]).into(),
+                    makespan_ms: (&w[3]).into(),
+                    sla_rate: (&w[4]).into(),
+                    latency_tail: g.tail,
+                }
             })
             .collect();
         out.sort_by_key(|s| {
