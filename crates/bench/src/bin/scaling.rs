@@ -78,10 +78,8 @@ fn fold_ramp(grid: &SweepResult, intensities: &[f64]) -> (Vec<RampPoint>, Vec<Kn
     }
     if empty_tails > 0 {
         eprintln!(
-            "scaling: {empty_tails} ramp point(s) have no latency-tail samples \
-             (cells resumed from a pre-tail camdn-sweep-cells/1 log?); their \
-             percentiles read 0.0 and take no part in p99 knees — delete the \
-             cell log to re-measure"
+            "scaling: {empty_tails} ramp point(s) have no latency-tail samples; \
+             their percentiles read 0.0 and take no part in p99 knees"
         );
     }
     // Knee per policy and per statistic: the first intensity whose
@@ -101,9 +99,9 @@ fn fold_ramp(grid: &SweepResult, intensities: &[f64]) -> (Vec<RampPoint>, Vec<Kn
                 .map(|p| metric(p))
                 .unwrap_or(0.0);
             // Without a positive baseline the knee criterion is
-            // meaningless (e.g. p99s zeroed by cells resumed from a
-            // pre-tail v1 log): report "no knee" rather than flagging
-            // the first point with any measurement.
+            // meaningless (e.g. a point that measured no inferences):
+            // report "no knee" rather than flagging the first point
+            // with any measurement.
             if base.is_nan() || base <= 0.0 {
                 return f64::INFINITY;
             }

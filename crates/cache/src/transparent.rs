@@ -316,9 +316,6 @@ pub struct SharedCache {
     /// Reused tag-pass event tape (no per-call allocation).
     scratch: Vec<RangeEvent>,
     reference: bool,
-    /// Skip the memory pass on range accesses (diagnostic; see
-    /// [`SharedCache::set_tag_pass_only`]).
-    tag_pass_only: bool,
     /// Planes return here on drop.
     pool: Option<Arc<CacheScratchPool>>,
 }
@@ -376,7 +373,6 @@ impl SharedCache {
             stats: CacheStats::default(),
             scratch: planes.tape,
             reference: false,
-            tag_pass_only: false,
             pool,
         }
     }
@@ -407,16 +403,6 @@ impl SharedCache {
     /// True when the reference walk is selected.
     pub fn reference_model(&self) -> bool {
         self.reference
-    }
-
-    /// Diagnostic mode for wall-time attribution (default off): range
-    /// accesses run the tag pass — with all its state transitions — but
-    /// skip the DRAM memory pass, charging only the hit latency and the
-    /// port floor. Simulated timings are NOT meaningful in this mode;
-    /// the throughput harness uses it to estimate what fraction of a
-    /// scenario's wall clock the tag pass accounts for.
-    pub fn set_tag_pass_only(&mut self, enabled: bool) {
-        self.tag_pass_only = enabled;
     }
 
     /// Bit mask over all ways.
@@ -838,19 +824,6 @@ impl SharedCache {
         self.stats.writebacks.add(wbs);
 
         // --- memory pass ---------------------------------------------
-        if self.tag_pass_only {
-            // Diagnostic mode: the state transitions above all happened,
-            // but no DRAM traffic is issued and the port floor is the
-            // whole timing model. Wall time spent in this configuration
-            // approximates pure tag-pass cost.
-            self.scratch = events;
-            return RangeOutcome {
-                finish: now + self.hit_latency + self.port_cycles(lines),
-                hits,
-                misses,
-                writebacks: wbs,
-            };
-        }
         let mut batch = dram.line_batch(now, Self::MSHR_WINDOW, misses);
         for ev in &events {
             match *ev {

@@ -3,7 +3,8 @@
 //! cell-for-cell, a killed-and-resumed grid must equal a cold run
 //! bit-for-bit, and the `SeedAggregate` sink must fold the seeds axis
 //! into the same statistics a hand computation gives, whatever order
-//! the cells arrive in.
+//! the cells arrive in. No sink's output may depend on the number of
+//! worker threads.
 
 use camdn::common::SimRng;
 use camdn::{
@@ -111,94 +112,29 @@ fn killed_grid_resumes_to_a_bit_for_bit_cold_run() {
 }
 
 #[test]
-fn resume_accepts_a_v1_log_with_empty_tails_and_upgrades_it() {
-    // Reconstruct, byte for byte, the log the retired
-    // `camdn-sweep-cells/1` writer produced for this grid's first two
-    // cells (no channel axis, no latency-tail fields), and resume from
-    // it: the recorded coordinates must be served from the log — with
-    // an *empty* tail, since v1 never recorded one — while everything
-    // else runs fresh, and the rewritten log must be upgraded to /3.
-    let path = unique_path("v1log");
-    let cold = small_grid().run().expect("cold grid");
-    let v1_header = "{\"schema\": \"camdn-sweep-cells/1\", \
-                     \"policies\": [\"Baseline\", \"CaMDN(Full)\"], \"socs\": [\"paper\"], \
-                     \"caches\": [\"default\"], \"workloads\": [\"mb\"], \"qos\": [\"closed\"], \
-                     \"lookaheads\": [\"default\"], \"seeds\": [1, 2, 3]}";
-    let mut log = String::from(v1_header);
-    for cell in &cold.cells[..2] {
-        let r = cell.outcome.as_ref().unwrap();
-        let m = &r.summary;
-        let c = &cell.coord;
-        log.push_str(&format!(
-            "\n{{\"policy\": {}, \"soc\": {}, \"cache\": {}, \"workload\": {}, \"qos\": {}, \
-             \"lookahead\": {}, \"seed\": {}, \"wall_s\": 0.5, \"ok\": true, \
-             \"label\": \"{}\", \"tasks\": {}, \"inferences\": {}, \"cache_hit_rate\": {}, \
-             \"avg_latency_ms\": {}, \"mem_mb_per_model\": {}, \"makespan_ms\": {}, \
-             \"sla_rate\": {}, \"multicast_saved_mb\": {}}}",
-            c.policy,
-            c.soc,
-            c.cache,
-            c.workload,
-            c.qos,
-            c.lookahead,
-            c.seed,
-            r.policy,
-            m.tasks,
-            m.inferences,
-            m.cache_hit_rate,
-            m.avg_latency_ms,
-            m.mem_mb_per_model,
-            m.makespan_ms,
-            m.sla_rate,
-            m.multicast_saved_mb,
-        ));
-    }
-    log.push('\n');
-    std::fs::write(&path, log).expect("write v1 log");
-
-    let resumed = small_grid().resume(&path).expect("v1 log accepted");
-    assert_eq!(resumed.cells_resumed, 2, "both v1 cells are served");
-    for (i, (x, y)) in cold.cells.iter().zip(&resumed.cells).enumerate() {
-        let (a, b) = (x.outcome.as_ref().unwrap(), y.outcome.as_ref().unwrap());
-        assert_eq!(a.policy, b.policy);
-        // Scalar aggregates round-trip bit-for-bit even from v1...
-        assert_eq!(a.summary.avg_latency_ms, b.summary.avg_latency_ms);
-        assert_eq!(a.summary.makespan_ms, b.summary.makespan_ms);
-        assert_eq!(a.summary.inferences, b.summary.inferences);
-        if i < 2 {
-            // ...but v1 never recorded a tail: the resumed cells carry
-            // an empty one (documented compatibility trade-off).
-            assert_eq!(b.summary.latency_tail.total(), 0);
-        } else {
-            // Fresh cells measured their tails as usual.
-            assert_eq!(a.summary.latency_tail, b.summary.latency_tail);
-            assert!(b.summary.latency_tail.total() > 0);
-        }
-    }
-    // The resume rewrote the log in the current schema.
-    let text = std::fs::read_to_string(&path).expect("rewritten log");
-    assert!(text.lines().next().unwrap().contains("camdn-sweep-cells/3"));
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
 fn resume_rejects_a_v1_log_when_the_grid_has_a_channel_axis() {
-    // A v1 grid could not express a channel axis, so its coordinates
-    // are ambiguous against one: the log must be rejected as a
-    // different grid, not silently merged at channel 0.
+    // Only the current `camdn-sweep-cells/3` header is read back: a log
+    // in an older schema is rejected as a different grid, whether or
+    // not the grid has a channel axis — never silently merged at
+    // channel 0.
     let path = unique_path("v1chan");
     let v1_header = "{\"schema\": \"camdn-sweep-cells/1\", \
                      \"policies\": [\"Baseline\"], \"socs\": [\"paper\"], \
                      \"caches\": [\"default\"], \"workloads\": [\"mb\"], \"qos\": [\"closed\"], \
                      \"lookaheads\": [\"default\"], \"seeds\": [1]}";
-    std::fs::write(&path, format!("{v1_header}\n")).expect("write v1 header");
-    let err = Sweep::grid()
-        .workload("mb", Workload::closed(vec![zoo::mobilenet_v2()], 2))
-        .seeds([1])
-        .channel_counts([2, 4])
-        .resume(&path)
-        .expect_err("channel-axis grid must reject a v1 log");
-    assert!(err.to_string().contains("different grid"), "{err}");
+    let grid = || {
+        Sweep::grid()
+            .workload("mb", Workload::closed(vec![zoo::mobilenet_v2()], 2))
+            .seeds([1])
+    };
+    for (name, g) in [
+        ("channel axis", grid().channel_counts([2, 4])),
+        ("no channel axis", grid()),
+    ] {
+        std::fs::write(&path, format!("{v1_header}\n")).expect("write v1 header");
+        let err = g.resume(&path).expect_err("a v1 log must be rejected");
+        assert!(err.to_string().contains("different grid"), "{name}: {err}");
+    }
     std::fs::remove_file(&path).ok();
 }
 
@@ -316,4 +252,49 @@ fn custom_sinks_see_every_cell_without_buffering() {
     assert_eq!(sink.0, 6);
     assert!(info.plan_cache.is_some(), "shared plan cache still applies");
     assert!(info.threads >= 1);
+}
+
+/// A cell log with its cell lines sorted and every `wall_s` value
+/// masked: the parts of a streamed log that must not depend on how
+/// many workers ran the grid.
+fn canonical_log(path: &std::path::Path) -> Vec<String> {
+    let text = std::fs::read_to_string(path).expect("log exists");
+    let mut lines = text.lines();
+    let header = lines.next().expect("header").to_string();
+    let mut cells: Vec<String> = lines
+        .map(|line| {
+            let at = line.find("\"wall_s\": ").expect("wall_s field") + "\"wall_s\": ".len();
+            let end = at + line[at..].find(',').expect("field separator");
+            format!("{}*{}", &line[..at], &line[end..])
+        })
+        .collect();
+    cells.sort();
+    std::iter::once(header).chain(cells).collect()
+}
+
+#[test]
+fn sinks_do_not_depend_on_the_thread_count() {
+    let grid = |threads| small_grid().threads(threads);
+    // MemorySink: identical cells, in row-major order.
+    assert_same_cells(
+        &grid(1).run().expect("one worker"),
+        &grid(2).run().expect("two workers"),
+    );
+    // SeedAggregate: identical statistics, bit for bit.
+    let stats = |threads| {
+        let mut sink = SeedAggregate::new();
+        grid(threads).run_with_sink(&mut sink).expect("sink run");
+        sink.stats()
+    };
+    assert_eq!(stats(1), stats(2));
+    // JsonlSink: the same lines, once completion order and wall time
+    // are factored out.
+    let (one, two) = (unique_path("threads1"), unique_path("threads2"));
+    grid(1).run_streamed(&one).expect("streamed, one worker");
+    grid(2).run_streamed(&two).expect("streamed, two workers");
+    let log = canonical_log(&one);
+    assert_eq!(log.len(), 7, "header + six cells");
+    assert_eq!(log, canonical_log(&two));
+    std::fs::remove_file(&one).ok();
+    std::fs::remove_file(&two).ok();
 }

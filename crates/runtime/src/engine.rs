@@ -47,17 +47,14 @@ use camdn_npu::NpuCore;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Sentinel task id marking a fault event in the event queue. Pushed
 /// before task arrivals, so the FIFO tie-break applies same-cycle
 /// faults before any task work at that cycle.
 const FAULT_EVENT: u32 = u32::MAX;
 
-/// Wall-clock budget polling stride (events between `Instant::now()`
-/// calls): cheap enough to never show in profiles, fine-grained enough
-/// that an overrunning run stops within milliseconds of its budget.
-const WALL_CHECK_STRIDE: u32 = 4096;
+/// Length of the bandwidth/NPU reallocation epoch in master cycles.
+const EPOCH_CYCLES: Cycle = 200_000;
 
 /// Names one of the five built-in system configurations.
 ///
@@ -123,7 +120,6 @@ pub(crate) struct SimParams {
     pub seed: u64,
     pub warmup_rounds: u32,
     pub qos_scale: Option<f64>,
-    pub epoch_cycles: Cycle,
     pub mapper: MapperConfig,
     /// Route all memory-system timing through the per-line reference
     /// model instead of the batched fast paths (differential testing
@@ -144,10 +140,6 @@ pub(crate) struct SimParams {
     /// [`EngineError::BudgetExceeded`] partial result once an event
     /// past this cycle pops. Deterministic.
     pub max_sim_cycles: Option<Cycle>,
-    /// Wall-clock budget, polled every [`WALL_CHECK_STRIDE`] events.
-    /// Where the run stops depends on host speed — use
-    /// `max_sim_cycles` when determinism matters.
-    pub max_wall: Option<Duration>,
     /// Deadline-aware admission control: shed open-loop QoS arrivals
     /// whose predicted completion already misses the deadline.
     pub admission_control: bool,
@@ -347,7 +339,7 @@ impl Engine {
             page_waiters: Vec::new(),
             queue_samples: Vec::new(),
             npu_failed: vec![false; params.soc.npu.cores as usize],
-            comps: EngineComponents::new(params.epoch_cycles, params.queue_sample_cycles),
+            comps: EngineComponents::new(EPOCH_CYCLES, params.queue_sample_cycles),
             now: 0,
             started: false,
             params,
@@ -360,12 +352,6 @@ impl Engine {
             alloc,
             iso_est,
         })
-    }
-
-    /// Overrides Algorithm 1's look-ahead fraction (paper default 0.2)
-    /// on policies that carry the knob; used by the ablation harness.
-    pub fn set_lookahead(&mut self, factor: f64) {
-        self.policy.set_lookahead(factor);
     }
 
     fn shares_active(&self) -> bool {
@@ -398,20 +384,13 @@ impl Engine {
             .copied()
     }
 
-    /// Forwards [`SharedCache::set_tag_pass_only`] (wall-time
-    /// attribution diagnostics; simulated timings are not meaningful
-    /// with it enabled).
-    pub(crate) fn set_tag_pass_only(&mut self, enabled: bool) {
-        self.cache.set_tag_pass_only(enabled);
-    }
-
     /// Runs the simulation to completion and aggregates the results.
     ///
     /// The run primes the master heap — fault events first (plan
     /// order), then one arrival per task in task order; insertion
     /// order is part of the determinism contract — and then pops it
     /// until it drains. Every popped event flows through the phase
-    /// components in a fixed, documented order: budget guards, the
+    /// components in a fixed, documented order: the budget guard, the
     /// sampler drains its fixed-period clock up to the event, a
     /// fault-sentinel event ticks the fault component, the lazy epoch
     /// clock fires if its boundary was reached, and finally the task
@@ -450,28 +429,14 @@ impl Engine {
                 }
             }
         }
-        // camdn-lint: allow(wall-clock-in-sim, reason = "max_wall budget guard: wall time only decides when to stop, never what the simulation computes")
-        let wall_start = Instant::now();
-        let mut wall_tick = 0u32;
         while let Some((now, tid)) = self.events.pop() {
-            // Budget guards. The cycle budget trips on the first event
-            // *past* the limit (deterministic); the wall-clock budget is
-            // polled every few thousand events and depends on host
-            // speed. Both surface the work done so far as a partial.
+            // Budget guard: the cycle budget trips on the first event
+            // *past* the limit, deterministically, and surfaces the
+            // work done so far as a partial.
             if let Some(max) = self.params.max_sim_cycles {
                 if now > max {
                     return Err(EngineError::BudgetExceeded {
                         budget: BudgetKind::SimCycles,
-                        at_cycle: now,
-                        partial: Box::new(self.aggregate()),
-                    });
-                }
-            }
-            if let Some(max) = self.params.max_wall {
-                wall_tick = wall_tick.wrapping_add(1);
-                if wall_tick.is_multiple_of(WALL_CHECK_STRIDE) && wall_start.elapsed() >= max {
-                    return Err(EngineError::BudgetExceeded {
-                        budget: BudgetKind::WallClock,
                         at_cycle: now,
                         partial: Box::new(self.aggregate()),
                     });
@@ -1506,14 +1471,12 @@ mod tests {
             seed: 0xCA3D41,
             warmup_rounds: 1,
             qos_scale: None,
-            epoch_cycles: 200_000,
             mapper: MapperConfig::paper_default(),
             reference_model: false,
             detail: DetailLevel::Tasks,
             queue_sample_cycles: None,
             fault_plan: None,
             max_sim_cycles: None,
-            max_wall: None,
             admission_control: false,
         };
         let mut engine = Engine::with_policy(
@@ -1705,14 +1668,12 @@ mod tests {
             seed: 1,
             warmup_rounds: 1,
             qos_scale: None,
-            epoch_cycles: 200_000,
             mapper: MapperConfig::paper_default(),
             reference_model: false,
             detail: DetailLevel::Tasks,
             queue_sample_cycles: None,
             fault_plan: None,
             max_sim_cycles: None,
-            max_wall: None,
             admission_control: false,
         };
         let mut engine = Engine::with_policy(
@@ -1792,7 +1753,7 @@ mod tests {
 
     #[test]
     fn fault_knobs_left_unset_are_bitwise_inert() {
-        // An empty plan, unreachable budgets and admission control on a
+        // An empty plan, an unreachable budget and admission control on a
         // closed-loop run must all leave results bit-for-bit identical
         // to a build that never heard of the chaos layer.
         let models = vec![zoo::mobilenet_v2(), zoo::gnmt()];
@@ -1802,7 +1763,6 @@ mod tests {
             .workload(Workload::closed(models.clone(), 2))
             .fault_plan(FaultPlan::default())
             .max_sim_cycles(Cycle::MAX)
-            .max_wall(Duration::from_secs(3600))
             .admission_control(true)
             .run()
             .expect("inert knobs must not trip");
@@ -1850,7 +1810,6 @@ mod tests {
             seed: 0xCA3D41,
             warmup_rounds: 1,
             qos_scale: None,
-            epoch_cycles: 200_000,
             mapper: MapperConfig::paper_default(),
             reference_model: false,
             detail: DetailLevel::Tasks,
@@ -1863,7 +1822,6 @@ mod tests {
                 .unwrap(),
             ),
             max_sim_cycles: None,
-            max_wall: None,
             admission_control: false,
         };
         let workload = Workload::closed((0..4).map(|_| zoo::mobilenet_v2()).collect(), 2);

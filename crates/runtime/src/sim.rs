@@ -27,7 +27,6 @@ use camdn_common::config::SocConfig;
 use camdn_common::types::Cycle;
 use camdn_mapper::{MapperConfig, PlanCache};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Which policy the builder should instantiate at build time.
 enum PolicyChoice {
@@ -43,8 +42,8 @@ pub struct Simulation {
 
 impl Simulation {
     /// Starts assembling a simulation. Defaults: Table II SoC, the
-    /// shared baseline policy, seed `0xCA3D41`, one warm-up round, a
-    /// 200k-cycle scheduling epoch and [`DetailLevel::Tasks`] output.
+    /// shared baseline policy, seed `0xCA3D41`, one warm-up round and
+    /// [`DetailLevel::Tasks`] output.
     /// A workload must be supplied.
     pub fn builder() -> SimulationBuilder {
         SimulationBuilder {
@@ -54,7 +53,6 @@ impl Simulation {
             seed: 0xCA3D41,
             warmup_rounds: 1,
             qos_scale: None,
-            epoch_cycles: 200_000,
             mapper: MapperConfig::paper_default(),
             lookahead: None,
             reference_model: false,
@@ -64,9 +62,7 @@ impl Simulation {
             queue_sample_cycles: None,
             fault_plan: None,
             max_sim_cycles: None,
-            max_wall: None,
             admission_control: false,
-            tag_pass_only: false,
         }
     }
 
@@ -84,7 +80,6 @@ pub struct SimulationBuilder {
     seed: u64,
     warmup_rounds: u32,
     qos_scale: Option<f64>,
-    epoch_cycles: Cycle,
     mapper: MapperConfig,
     lookahead: Option<f64>,
     reference_model: bool,
@@ -94,9 +89,7 @@ pub struct SimulationBuilder {
     queue_sample_cycles: Option<Cycle>,
     fault_plan: Option<FaultPlan>,
     max_sim_cycles: Option<Cycle>,
-    max_wall: Option<Duration>,
     admission_control: bool,
-    tag_pass_only: bool,
 }
 
 impl SimulationBuilder {
@@ -157,12 +150,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Bandwidth/NPU reallocation epoch in cycles (default 200_000).
-    pub fn epoch_cycles(mut self, cycles: Cycle) -> Self {
-        self.epoch_cycles = cycles;
-        self
-    }
-
     /// Sets the offline mapper configuration.
     pub fn mapper(mut self, mapper: MapperConfig) -> Self {
         self.mapper = mapper;
@@ -200,15 +187,6 @@ impl SimulationBuilder {
     /// *consecutive* builds of one worker, not across threads.
     pub fn cache_scratch(mut self, pool: Arc<CacheScratchPool>) -> Self {
         self.cache_scratch = Some(pool);
-        self
-    }
-
-    /// Like [`cache_scratch`](SimulationBuilder::cache_scratch), but
-    /// only installs `pool` if no pool was set yet — executors use this
-    /// to offer their per-worker pool without overriding an explicit
-    /// caller choice.
-    pub fn cache_scratch_default(mut self, pool: &Arc<CacheScratchPool>) -> Self {
-        self.cache_scratch.get_or_insert_with(|| Arc::clone(pool));
         self
     }
 
@@ -256,15 +234,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Caps the run at a wall-clock budget, polled every few thousand
-    /// events. Where the run stops depends on host speed — prefer
-    /// [`max_sim_cycles`](SimulationBuilder::max_sim_cycles) when the
-    /// partial result must be reproducible.
-    pub fn max_wall(mut self, budget: Duration) -> Self {
-        self.max_wall = Some(budget);
-        self
-    }
-
     /// Enables deadline-aware admission control (default off): an
     /// open-loop QoS arrival whose queue-predicted completion already
     /// misses its deadline is shed instead of dispatched, counted in
@@ -276,17 +245,6 @@ impl SimulationBuilder {
     /// [`qos_scale`]: SimulationBuilder::qos_scale
     pub fn admission_control(mut self, enabled: bool) -> Self {
         self.admission_control = enabled;
-        self
-    }
-
-    /// Diagnostic mode for wall-time attribution (default `false`):
-    /// the shared cache runs its tag pass — with every state
-    /// transition — but skips the DRAM memory pass, charging only the
-    /// hit latency and port floor. Simulated timings are **not**
-    /// meaningful in this mode; the throughput harness uses it to
-    /// estimate the tag pass's share of a scenario's wall clock.
-    pub fn tag_pass_only(mut self, enabled: bool) -> Self {
-        self.tag_pass_only = enabled;
         self
     }
 
@@ -314,11 +272,6 @@ impl SimulationBuilder {
                 ));
             }
         }
-        if self.epoch_cycles == 0 {
-            return Err(EngineError::InvalidConfig(
-                "epoch_cycles must be positive".into(),
-            ));
-        }
         if self.queue_sample_cycles == Some(0) {
             return Err(EngineError::InvalidConfig(
                 "queue sampling interval must be positive".into(),
@@ -327,11 +280,6 @@ impl SimulationBuilder {
         if self.max_sim_cycles == Some(0) {
             return Err(EngineError::InvalidConfig(
                 "the simulated-cycle budget must be positive".into(),
-            ));
-        }
-        if self.max_wall == Some(Duration::ZERO) {
-            return Err(EngineError::InvalidConfig(
-                "the wall-clock budget must be positive".into(),
             ));
         }
         let mut policy = match self.policy {
@@ -347,24 +295,21 @@ impl SimulationBuilder {
             seed: self.seed,
             warmup_rounds: self.warmup_rounds,
             qos_scale: self.qos_scale,
-            epoch_cycles: self.epoch_cycles,
             mapper: self.mapper,
             reference_model: self.reference_model,
             detail: self.detail,
             queue_sample_cycles: self.queue_sample_cycles,
             fault_plan: self.fault_plan,
             max_sim_cycles: self.max_sim_cycles,
-            max_wall: self.max_wall,
             admission_control: self.admission_control,
         };
-        let mut engine = Engine::with_policy(
+        let engine = Engine::with_policy(
             params,
             policy,
             &workload,
             self.plan_cache.as_deref(),
             self.cache_scratch,
         )?;
-        engine.set_tag_pass_only(self.tag_pass_only);
         Ok(Simulation { engine })
     }
 
@@ -406,13 +351,6 @@ mod tests {
             Simulation::builder()
                 .workload(w.clone())
                 .qos_scale(0.0)
-                .build(),
-            Err(EngineError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            Simulation::builder()
-                .workload(w.clone())
-                .epoch_cycles(0)
                 .build(),
             Err(EngineError::InvalidConfig(_))
         ));

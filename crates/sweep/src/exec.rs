@@ -93,8 +93,7 @@ pub fn run_cells_into(
                 // One scratch pool per worker: the worker's consecutive
                 // cells reuse the shared cache's multi-MB tag planes
                 // instead of re-allocating them per cell. Reuse is
-                // bit-for-bit invisible (generation counters); cells
-                // that set an explicit pool keep theirs.
+                // bit-for-bit invisible (generation counters).
                 let scratch = Arc::new(CacheScratchPool::new());
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -110,7 +109,7 @@ pub fn run_cells_into(
                     // camdn-lint: allow(wall-clock-in-sim, reason = "reported wall_s bookkeeping only; simulated results never read it and bit-for-bit comparisons exclude it")
                     let t0 = Instant::now();
                     let outcome = match builder {
-                        Some(b) => run_one(b.cache_scratch_default(&scratch)),
+                        Some(b) => run_one(b.cache_scratch(Arc::clone(&scratch))),
                         None => Err(EngineError::Panicked {
                             detail: "sweep job vanished before it ran".into(),
                         }),

@@ -10,7 +10,11 @@
 //! is a general JSON parser — it only accepts what the writers emit,
 //! which is exactly the property the kill/resume paths rely on: a torn
 //! line parses as `None` and the producer simply re-runs that unit of
-//! work.
+//! work. Resuming compacts a log with [`rewrite_atomically`].
+
+use std::fs::{File, OpenOptions};
+use std::io::{BufWriter, Write as _};
+use std::path::{Path, PathBuf};
 
 /// One parsed value of a flat JSONL object.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,6 +99,42 @@ pub fn jnum(v: f64) -> String {
 /// Looks a key up in a parsed line.
 pub fn field<'a>(fields: &'a [(String, JsonVal)], key: &str) -> Option<&'a JsonVal> {
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// Replaces the log at `path` with `lines` (one per line) and reopens
+/// it for appending.
+///
+/// The lines go to a scratch file beside the log (`<path>.rewrite`),
+/// which is synced and then renamed over the original, so a kill
+/// mid-rewrite leaves the old log or the new one, never a truncated
+/// mix. Returns the append handle of the rewritten log; errors name
+/// the step and file that failed.
+pub fn rewrite_atomically(
+    path: &Path,
+    lines: impl IntoIterator<Item = String>,
+) -> std::io::Result<File> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".rewrite");
+    let tmp = PathBuf::from(tmp);
+    let at = |step: &'static str, file: &Path| {
+        let file = file.display().to_string();
+        move |e: std::io::Error| std::io::Error::new(e.kind(), format!("{step} {file}: {e}"))
+    };
+    let mut out = BufWriter::new(File::create(&tmp).map_err(at("creating", &tmp))?);
+    for line in lines {
+        out.write_all(line.as_bytes())
+            .and_then(|()| out.write_all(b"\n"))
+            .map_err(at("writing", &tmp))?;
+    }
+    let file = out
+        .into_inner()
+        .map_err(|e| at("writing", &tmp)(e.into_error()))?;
+    file.sync_all().map_err(at("syncing", &tmp))?;
+    std::fs::rename(&tmp, path).map_err(at("renaming over", path))?;
+    OpenOptions::new()
+        .append(true)
+        .open(path)
+        .map_err(at("reopening", path))
 }
 
 /// Parses a one-level JSON object of string/number/boolean values and
@@ -260,6 +300,27 @@ mod tests {
             field(&fields, "t"),
             Some(&JsonVal::Arr(vec!["a\"x".into(), "b".into(), "3".into()]))
         );
+    }
+
+    #[test]
+    fn rewrite_atomically_replaces_the_log_and_appends_after_it() {
+        let dir = std::env::temp_dir().join(format!("camdn-jsonl-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("log.jsonl");
+        std::fs::write(&path, "old header\nold line\ntorn").unwrap();
+        let mut file =
+            rewrite_atomically(&path, ["header".to_string(), "kept".to_string()]).unwrap();
+        file.write_all(b"appended\n").unwrap();
+        drop(file);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, "header\nkept\nappended\n");
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".rewrite");
+        assert!(
+            !Path::new(&tmp).exists(),
+            "the scratch file is renamed away"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -27,7 +27,7 @@ use camdn_runtime::{
     LATENCY_HIST_BUCKETS,
 };
 use camdn_runtime::{RunOutput, Workload};
-use camdn_sweep::jsonl::{esc, field, jnum, parse_flat_object, JsonVal};
+use camdn_sweep::jsonl::{esc, field, jnum, parse_flat_object, rewrite_atomically, JsonVal};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -801,30 +801,10 @@ impl JsonlReplaySink {
     pub fn resume(path: impl AsRef<Path>, cfg: &ReplayConfig) -> Result<Self, TraceError> {
         let path = path.as_ref().to_path_buf();
         let recorded = read_window_log(&path, cfg)?;
-        let mut tmp = path.clone().into_os_string();
-        tmp.push(".rewrite");
-        let tmp = PathBuf::from(tmp);
-        {
-            let mut sink = JsonlReplaySink::create(&tmp, cfg)?;
-            for w in &recorded {
-                sink.on_window(w);
-            }
-            if let Some(detail) = sink.error {
-                return Err(TraceError::Io { detail });
-            }
-            sink.file.sync_all().map_err(|e| TraceError::Io {
-                detail: format!("syncing {}: {e}", tmp.display()),
-            })?;
-        }
-        std::fs::rename(&tmp, &path).map_err(|e| TraceError::Io {
-            detail: format!("renaming {} over {}: {e}", tmp.display(), path.display()),
+        let lines = std::iter::once(replay_header(cfg)).chain(recorded.iter().map(window_line));
+        let file = rewrite_atomically(&path, lines).map_err(|e| TraceError::Io {
+            detail: e.to_string(),
         })?;
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| TraceError::Io {
-                detail: format!("reopening {}: {e}", path.display()),
-            })?;
         Ok(JsonlReplaySink {
             file,
             path,
